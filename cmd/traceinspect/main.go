@@ -89,8 +89,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer out.Close()
-		if err := packet.WriteCSV(out, recs); err != nil {
+		// Close reports the final write's failure, so its error counts too.
+		if err := errors.Join(packet.WriteCSV(out, recs), out.Close()); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("\nwrote %d records to %s\n", len(recs), *csvPath)

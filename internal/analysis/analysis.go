@@ -75,10 +75,14 @@ func (p *PeerAggregate) Hops() int {
 // Aggregator consumes a probe's records and maintains per-peer aggregates.
 // It implements sniffer.Consumer, so it can run live during a simulation or
 // be fed from a stored trace with identical results.
+//
+// Peers are keyed by their 4-byte IPv4 address, which maps hash far more
+// cheaply than a netip.Addr. Record addresses must be IPv4, as the trace
+// format requires.
 type Aggregator struct {
 	probe netip.Addr
 	cfg   Config
-	peers map[netip.Addr]*PeerAggregate
+	peers map[[4]byte]*PeerAggregate
 	count uint64
 }
 
@@ -87,7 +91,7 @@ func New(probe netip.Addr, cfg Config) *Aggregator {
 	if cfg.VideoSizeFloor <= 0 || cfg.FullPacket < cfg.VideoSizeFloor {
 		panic(fmt.Sprintf("analysis: bad config %+v", cfg))
 	}
-	return &Aggregator{probe: probe, cfg: cfg, peers: make(map[netip.Addr]*PeerAggregate)}
+	return &Aggregator{probe: probe, cfg: cfg, peers: make(map[[4]byte]*PeerAggregate)}
 }
 
 // Probe reports the probe address.
@@ -100,20 +104,29 @@ func (a *Aggregator) Records() uint64 { return a.count }
 // paper's "all peers" population for this probe.
 func (a *Aggregator) PeerCount() int { return len(a.peers) }
 
-// Peer returns the aggregate for one remote address, nil when never seen.
-func (a *Aggregator) Peer(remote netip.Addr) *PeerAggregate { return a.peers[remote] }
+// Peer returns the aggregate for one remote address, nil when never seen
+// or not IPv4.
+func (a *Aggregator) Peer(remote netip.Addr) *PeerAggregate {
+	if !remote.Is4() {
+		return nil
+	}
+	return a.peers[remote.As4()]
+}
 
 // PeerAddrs returns every observed remote address, sorted by descending
 // total video bytes (then by address for determinism). Tools use this to
 // list top contributors.
 func (a *Aggregator) PeerAddrs() []netip.Addr {
 	out := make([]netip.Addr, 0, len(a.peers))
-	for addr := range a.peers {
-		out = append(out, addr)
+	for key := range a.peers {
+		out = append(out, netip.AddrFrom4(key))
+	}
+	video := func(addr netip.Addr) int64 {
+		p := a.peers[addr.As4()]
+		return p.VideoDown + p.VideoUp
 	}
 	sort.Slice(out, func(i, j int) bool {
-		vi := a.peers[out[i]].VideoDown + a.peers[out[i]].VideoUp
-		vj := a.peers[out[j]].VideoDown + a.peers[out[j]].VideoUp
+		vi, vj := video(out[i]), video(out[j])
 		if vi != vj {
 			return vi > vj
 		}
@@ -122,13 +135,18 @@ func (a *Aggregator) PeerAddrs() []netip.Addr {
 	return out
 }
 
-// Consume folds one record into the aggregates.
+// Consume folds one record into the aggregates. It panics on a non-IPv4
+// remote address: no trace can carry one, so it is a wiring bug.
 func (a *Aggregator) Consume(r packet.Record) {
 	remote, inbound := sniffer.Remote(r, a.probe)
-	agg := a.peers[remote]
+	if !remote.Is4() {
+		panic(fmt.Sprintf("analysis: probe %v saw non-IPv4 peer %v", a.probe, remote))
+	}
+	key := remote.As4()
+	agg := a.peers[key]
 	if agg == nil {
 		agg = &PeerAggregate{}
-		a.peers[remote] = agg
+		a.peers[key] = agg
 	}
 	a.count++
 	size := int64(r.Size)
@@ -182,7 +200,8 @@ func (a *Aggregator) Observations(loc Locator, probeSet map[netip.Addr]bool) ([]
 	}
 	obs := make([]core.Observation, 0, len(a.peers))
 	unlocated := 0
-	for remote, agg := range a.peers {
+	for key, agg := range a.peers {
+		remote := netip.AddrFrom4(key)
 		h, ok := loc.Locate(remote)
 		if !ok {
 			unlocated++

@@ -299,11 +299,87 @@ func TestIPGClassifierAgainstTrainGroundTruth(t *testing.T) {
 	}
 }
 
+// Aggregates are keyed by IPv4 address: a record with any other remote
+// address is a wiring bug and panics, and a non-IPv4 query finds nothing.
+func TestIPv4Contract(t *testing.T) {
+	a := New(probeAddr, DefaultConfig())
+	a.Consume(sig(1000, peerX, probeAddr, 80, 110))
+	if a.Peer(netip.IPv6Loopback()) != nil {
+		t.Error("Peer(::1) should be nil")
+	}
+	if a.Peer(netip.AddrFrom16(peerX.As16())) != nil {
+		t.Error("Peer of an IPv4-mapped IPv6 address should be nil")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an IPv6 record should panic")
+		}
+	}()
+	a.Consume(sig(2000, netip.MustParseAddr("2001:db8::1"), probeAddr, 80, 110))
+}
+
+// Aggregating a record from a peer already seen must not allocate.
+func TestConsumeKnownPeerZeroAllocs(t *testing.T) {
+	a := New(probeAddr, DefaultConfig())
+	in := vid(0, peerX, probeAddr, 1250, 110)
+	out := vid(0, probeAddr, peerX, 1250, 128)
+	a.Consume(in)
+	n := testing.AllocsPerRun(1000, func() {
+		in.TS += 1000
+		a.Consume(in)
+		a.Consume(out)
+	})
+	if n != 0 {
+		t.Errorf("Consume on a known peer: %v allocs, want 0", n)
+	}
+}
+
 func BenchmarkConsume(b *testing.B) {
 	a := New(probeAddr, DefaultConfig())
 	r := vid(0, peerX, probeAddr, 1250, 110)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.TS = sim.Time(i * 1000)
 		a.Consume(r)
 	}
+}
+
+// BenchmarkFromTrace replays a 20,000-record trace from 200 peers, mixing
+// video and signaling in both directions, per op.
+func BenchmarkFromTrace(b *testing.B) {
+	const records = 20000
+	var buf bytes.Buffer
+	w, err := packet.NewWriter(&buf, probeAddr, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range records {
+		peer := netip.AddrFrom4([4]byte{10, 1, byte(i % 200), 1})
+		ts := int64(i) * int64(100*time.Microsecond)
+		r := vid(ts, peer, probeAddr, 1250, 110)
+		switch i % 4 {
+		case 1:
+			r = vid(ts, probeAddr, peer, 1250, 128)
+		case 2:
+			r = sig(ts, peer, probeAddr, 80, 110)
+		}
+		if err := w.Write(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	for b.Loop() {
+		rd, err := packet.NewReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := FromTrace(rd, DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -76,6 +77,7 @@ const (
 // closing the underlying writer if it is a file.
 type Writer struct {
 	bw    *bufio.Writer
+	buf   [recordBytes]byte // encoding scratch; a local would escape through bw.Write
 	count uint64
 	err   error
 }
@@ -104,12 +106,13 @@ func NewWriter(w io.Writer, probe netip.Addr, label string) (*Writer, error) {
 	return &Writer{bw: bw}, nil
 }
 
-// Write appends one record.
+// Write appends one record. Its addresses must be IPv4 and its size must
+// fit the format's 32-bit unsigned field.
 func (w *Writer) Write(r Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	if r.Size < 0 || r.Size > 1<<31 {
+	if r.Size < 0 || r.Size > math.MaxUint32 {
 		w.err = fmt.Errorf("packet: record size %d out of range", r.Size)
 		return w.err
 	}
@@ -117,7 +120,7 @@ func (w *Writer) Write(r Record) error {
 		w.err = fmt.Errorf("packet: record addresses must be IPv4 (src=%v dst=%v)", r.Src, r.Dst)
 		return w.err
 	}
-	var buf [recordBytes]byte
+	buf := &w.buf
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(r.TS))
 	src := r.Src.As4()
 	dst := r.Dst.As4()
@@ -155,29 +158,40 @@ type Reader struct {
 // ErrBadTrace reports a malformed trace header or record.
 var ErrBadTrace = errors.New("packet: malformed trace")
 
-// NewReader parses the trace header.
+// NewReader parses the trace header. A short or unreadable header yields
+// an error wrapping both ErrBadTrace and the cause.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: short magic: %v", ErrBadTrace, err)
+	var head [4]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, fmt.Errorf("%w: short magic: %w", ErrBadTrace, cause(err))
 	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, head)
+	if string(head[:]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, head[:])
 	}
 	var addr [4]byte
 	if _, err := io.ReadFull(br, addr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short probe address", ErrBadTrace)
+		return nil, fmt.Errorf("%w: short probe address: %w", ErrBadTrace, cause(err))
 	}
 	n, err := br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: short label length", ErrBadTrace)
+		return nil, fmt.Errorf("%w: short label length: %w", ErrBadTrace, cause(err))
 	}
 	lb := make([]byte, n)
 	if _, err := io.ReadFull(br, lb); err != nil {
-		return nil, fmt.Errorf("%w: short label", ErrBadTrace)
+		return nil, fmt.Errorf("%w: short label: %w", ErrBadTrace, cause(err))
 	}
 	return &Reader{br: br, probe: netip.AddrFrom4(addr), label: string(lb)}, nil
+}
+
+// cause maps a read error to the one a malformed header reports: io.EOF
+// there is an unexpected end, and must not match errors.Is(err, io.EOF),
+// which callers take for a clean end of trace.
+func cause(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Probe reports the probe address recorded in the header.
@@ -187,23 +201,29 @@ func (r *Reader) Probe() netip.Addr { return r.probe }
 func (r *Reader) Label() string { return r.label }
 
 // Next returns the next record, or io.EOF at a clean end of trace. A
-// truncated record yields ErrBadTrace, so corruption never passes silently.
+// truncated record or a read error yields an error wrapping both
+// ErrBadTrace and the cause, so corruption never passes silently. Next
+// decodes in place from the reader's buffer and does not allocate.
 func (r *Reader) Next() (Record, error) {
-	var buf [recordBytes]byte
-	n, err := io.ReadFull(r.br, buf[:])
-	if err == io.EOF && n == 0 {
-		return Record{}, io.EOF
+	buf, err := r.br.Peek(recordBytes)
+	if len(buf) < recordBytes {
+		switch {
+		case err == io.EOF && len(buf) == 0:
+			return Record{}, io.EOF
+		case err == io.EOF:
+			return Record{}, fmt.Errorf("%w: truncated record (%d bytes): %w", ErrBadTrace, len(buf), io.ErrUnexpectedEOF)
+		}
+		return Record{}, fmt.Errorf("%w: reading record: %w", ErrBadTrace, err)
 	}
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: truncated record (%d bytes)", ErrBadTrace, n)
+	rec := Record{
+		TS:   sim.Time(binary.LittleEndian.Uint64(buf[0:8])),
+		Src:  netip.AddrFrom4([4]byte(buf[8:12])),
+		Dst:  netip.AddrFrom4([4]byte(buf[12:16])),
+		Size: units.ByteSize(binary.LittleEndian.Uint32(buf[16:20])),
+		TTL:  buf[20],
+		Kind: Kind(buf[21]),
 	}
-	var rec Record
-	rec.TS = sim.Time(binary.LittleEndian.Uint64(buf[0:8]))
-	rec.Src = netip.AddrFrom4([4]byte(buf[8:12]))
-	rec.Dst = netip.AddrFrom4([4]byte(buf[12:16]))
-	rec.Size = units.ByteSize(binary.LittleEndian.Uint32(buf[16:20]))
-	rec.TTL = buf[20]
-	rec.Kind = Kind(buf[21])
+	_, _ = r.br.Discard(recordBytes) // cannot fail: Peek buffered these bytes
 	return rec, nil
 }
 

@@ -2,11 +2,13 @@ package packet
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"net/netip"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"napawine/internal/sim"
@@ -242,39 +244,161 @@ func TestParseCSVLineErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkWrite(b *testing.B) {
+// writeTrace encodes recs behind a header for probe 10.0.0.1.
+func writeTrace(tb testing.TB, label string, recs []Record) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, mkAddr(10, 0, 0, 1), "bench")
+	w, err := NewWriter(&buf, mkAddr(10, 0, 0, 1), label)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A read error or an early end anywhere in a trace must surface as an
+// error that wraps both ErrBadTrace and its cause, and must never match
+// io.EOF, which callers take for a clean end.
+func TestReadErrorsWrapCause(t *testing.T) {
+	errDisk := errors.New("disk on fire")
+	trace := writeTrace(t, "lbl", randomRecords(1, 5))
+	header := len(trace) - recordBytes
+	check := func(t *testing.T, err, want error) {
+		t.Helper()
+		if !errors.Is(err, ErrBadTrace) || !errors.Is(err, want) || errors.Is(err, io.EOF) {
+			t.Errorf("error %v: want ErrBadTrace wrapping %v, not io.EOF", err, want)
+		}
+	}
+	for n := 0; n < header; n++ {
+		_, err := NewReader(io.MultiReader(bytes.NewReader(trace[:n]), iotest.ErrReader(errDisk)))
+		check(t, err, errDisk)
+		_, err = NewReader(bytes.NewReader(trace[:n]))
+		check(t, err, io.ErrUnexpectedEOF)
+	}
+	for n := header; n < len(trace); n++ {
+		r, err := NewReader(io.MultiReader(bytes.NewReader(trace[:n]), iotest.ErrReader(errDisk)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Next()
+		check(t, err, errDisk)
+		if n == header {
+			continue // a bare header is a valid empty trace
+		}
+		if r, err = NewReader(bytes.NewReader(trace[:n])); err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Next()
+		check(t, err, io.ErrUnexpectedEOF)
+	}
+}
+
+// The codec's hot paths must not allocate per record.
+func TestCodecZeroAllocs(t *testing.T) {
+	rec := randomRecords(1, 6)[0]
+	w, err := NewWriter(io.Discard, mkAddr(10, 0, 0, 1), "allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = w.Write(rec) }); n != 0 {
+		t.Errorf("Writer.Write: %v allocs per record, want 0", n)
+	}
+
+	r, err := NewReader(bytes.NewReader(writeTrace(t, "allocs", randomRecords(2000, 7))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { _, _ = r.Next() }); n != 0 {
+		t.Errorf("Reader.Next: %v allocs per record, want 0", n)
+	}
+}
+
+// FuzzReader feeds arbitrary bytes to the reader. It must not panic, every
+// error must be io.EOF or wrap ErrBadTrace, and every decoded record must
+// re-encode to the bytes it was read from.
+func FuzzReader(f *testing.F) {
+	trace := writeTrace(f, "fuzz", randomRecords(3, 8))
+	f.Add(trace)
+	f.Add(trace[:len(trace)-7]) // chopped mid-record
+	f.Add(trace[:6])            // chopped mid-header
+	f.Add(append([]byte("NWT0"), trace[4:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) || errors.Is(err, io.EOF) {
+				t.Fatalf("NewReader error %v does not wrap ErrBadTrace alone", err)
+			}
+			return
+		}
+		var re bytes.Buffer
+		w, err := NewWriter(&re, r.Probe(), r.Label())
+		if err != nil {
+			t.Fatalf("header does not re-encode: %v", err)
+		}
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, ErrBadTrace) || errors.Is(err, io.EOF) {
+					t.Fatalf("Next error %v does not wrap ErrBadTrace alone", err)
+				}
+				break
+			}
+			if err := w.Write(rec); err != nil {
+				t.Fatalf("decoded record %+v does not re-encode: %v", rec, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := re.Bytes(); !bytes.HasPrefix(data, got) {
+			t.Fatalf("re-encoded trace differs from its input:\n got  %x\n want %x", got, data[:min(len(got), len(data))])
+		}
+	})
+}
+
+func BenchmarkWrite(b *testing.B) {
+	w, _ := NewWriter(io.Discard, mkAddr(10, 0, 0, 1), "bench")
 	rec := Record{TS: 12345, Src: mkAddr(10, 0, 0, 2), Dst: mkAddr(10, 0, 0, 1),
 		Size: 1250, TTL: 110, Kind: Video}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for b.Loop() {
 		if err := w.Write(rec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkReadNext(b *testing.B) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, mkAddr(10, 0, 0, 1), "bench")
-	for _, r := range randomRecords(10000, 4) {
-		_ = w.Write(r)
+// BenchmarkReaderNext decodes one record per op, reopening the trace when
+// it runs out.
+func BenchmarkReaderNext(b *testing.B) {
+	data := writeTrace(b, "bench", randomRecords(10000, 4))
+	src := bytes.NewReader(data)
+	r, err := NewReader(src)
+	if err != nil {
+		b.Fatal(err)
 	}
-	_ = w.Close()
-	data := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := r.Next(); err == io.EOF {
-				break
-			} else if err != nil {
+	b.ReportAllocs()
+	for b.Loop() {
+		_, err := r.Next()
+		if err == io.EOF {
+			src.Reset(data)
+			if r, err = NewReader(src); err != nil {
 				b.Fatal(err)
 			}
+			continue
+		}
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }
